@@ -1,7 +1,7 @@
 """Static-lint sweep over every bundled workload.
 
 Not a paper figure — this is the deployment gate exercised at benchmark
-scale: every registered workload is traced symbolically and run through
+scale: every registered workload's forward is walked once and run through
 the full rule catalogue at each precision.  Shape claims asserted:
 
 * no bundled workload carries an error-level finding at any precision

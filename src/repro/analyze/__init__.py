@@ -2,9 +2,10 @@
 
 Three layers:
 
-* :mod:`repro.analyze.ir` / :mod:`repro.analyze.propagate` — a static IR
-  extracted by symbolic propagation of coordinate stride, channel counts
-  and kernel-map scope through the model graph, without executing data;
+* :mod:`repro.analyze.ir` — the model IR (coordinate strides, channel
+  counts, kernel-map lineage, joins) recorded from one ``simulate_only``
+  run of the model's real ``forward`` on a small synthetic scene; the same
+  run yields the kernel trace for the trace-level rules;
 * :mod:`repro.analyze.rules` — a pluggable lint-rule registry
   (severities info/warning/error) over that IR;
 * :mod:`repro.analyze.tracecheck` — conservation invariants and a scatter
@@ -37,15 +38,10 @@ from repro.analyze.hb import (
 from repro.analyze.ir import (
     ChannelMismatch,
     IRNode,
+    IRTensor,
     JoinEvent,
     MapEvent,
     ModelIR,
-    SymbolicTensor,
-)
-from repro.analyze.propagate import (
-    HANDLERS,
-    SymbolicTracer,
-    register_handler,
     trace_model,
 )
 from repro.analyze.provenance import (
@@ -89,57 +85,9 @@ from repro.analyze.tracecheck import (
     check_trace,
     scatter_conflicts,
 )
-from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.nn.module import Module
 from repro.precision import Precision
-
-
-def analyze_model(
-    model: Module, in_channels: int, ndim: int = 3
-) -> ModelIR:
-    """Build the static IR of ``model`` (alias of :func:`trace_model`)."""
-    return trace_model(model, in_channels=in_channels, ndim=ndim)
-
-
-def collect_execution_trace(
-    model: Module,
-    in_channels: int,
-    device: "DeviceSpec | str" = "a100",
-    precision: "Precision | str" = Precision.FP16,
-    policy: Optional[Any] = None,
-    num_points: int = 150,
-    seed: int = 0,
-) -> Optional["KernelTrace"]:
-    """Simulate one forward pass on a small synthetic scene and return the
-    annotated kernel trace (``None`` when the model cannot execute — the
-    static rules still run without it)."""
-    import numpy as np
-
-    from repro.hw import get_device
-    from repro.nn.context import ExecutionContext
-    from repro.sparse.tensor import SparseTensor
-
-    rng = np.random.default_rng(seed)
-    coords = np.unique(
-        rng.integers(0, 24, size=(num_points, 3), dtype=np.int32), axis=0
-    )
-    # Leading batch column (single scene).
-    coords = np.concatenate(
-        [np.zeros((len(coords), 1), dtype=np.int32), coords], axis=1
-    )
-    feats = rng.standard_normal((len(coords), in_channels)).astype(np.float32)
-    ctx = ExecutionContext(
-        device=get_device(device),
-        precision=Precision.parse(precision),
-        policy=policy,
-        simulate_only=True,
-    )
-    try:
-        model(SparseTensor(coords=coords, feats=feats), ctx)
-    except Exception:
-        return None
-    return ctx.trace
 
 
 def lint_model(
@@ -151,34 +99,31 @@ def lint_model(
     policy: Optional[Any] = None,
     ndim: int = 3,
     rules: Optional[Sequence[str]] = None,
-    trace: Optional["KernelTrace"] = None,
-    collect_trace: bool = False,
+    ir: Optional[ModelIR] = None,
 ) -> List[Finding]:
-    """Statically lint one model for a deployment target.
+    """Lint one model for a deployment target.
 
-    ``trace`` supplies an executed kernel trace for the dependence and
-    liveness rules; ``collect_trace=True`` simulates a small forward pass
-    to obtain one (3-D models only).  Without either, trace-level rules
-    are skipped.  Returns findings sorted most severe first (empty list =
-    clean).
+    Walks ``model`` once (:func:`trace_model`) and runs the rules over the
+    recorded IR and kernel trace; ``ir`` lints a walk the caller already
+    made for the same target instead.  Returns findings sorted most severe
+    first (empty list = clean).
     """
     from repro.hw import get_device
 
-    if trace is None and collect_trace and ndim == 3:
-        trace = collect_execution_trace(
+    if ir is None:
+        ir = trace_model(
             model,
-            in_channels,
+            in_channels=in_channels,
+            ndim=ndim,
             device=device,
             precision=precision,
             policy=policy,
         )
-    ir = trace_model(model, in_channels=in_channels, ndim=ndim)
     ctx = LintContext(
         ir=ir,
         device=get_device(device),
         precision=Precision.parse(precision),
         policy=policy,
-        trace=trace,
     )
     return run_rules(ctx, rules=rules)
 
@@ -190,7 +135,6 @@ def lint_workload(
     precision: "Precision | str" = Precision.FP16,
     policy: Optional[Any] = None,
     rules: Optional[Sequence[str]] = None,
-    collect_trace: bool = False,
 ) -> List[Finding]:
     """Lint a bundled workload's model with its dataset's input channels."""
     from repro.models import get_workload
@@ -204,7 +148,6 @@ def lint_workload(
         precision=precision,
         policy=policy,
         rules=rules,
-        collect_trace=collect_trace,
     )
 
 
@@ -217,10 +160,10 @@ __all__ = [
     "FuzzReport",
     "KeyComponent",
     "KeySchema",
-    "HANDLERS",
     "HappensBefore",
     "SyncEvent",
     "IRNode",
+    "IRTensor",
     "JoinEvent",
     "LayerRange",
     "LintContext",
@@ -231,11 +174,8 @@ __all__ = [
     "ReadLog",
     "Severity",
     "SiteAudit",
-    "SymbolicTensor",
-    "SymbolicTracer",
     "TraceViolation",
     "ValueRange",
-    "analyze_model",
     "assert_trace_ok",
     "audit_cache_site",
     "audit_cache_sites",
@@ -246,7 +186,6 @@ __all__ = [
     "check_scatter_races",
     "check_schedule",
     "check_trace",
-    "collect_execution_trace",
     "depgraph_report_json",
     "find_redundant_events",
     "fuzz_all",
@@ -261,7 +200,6 @@ __all__ = [
     "provenance_findings",
     "redundant_sync_edges",
     "register_cache_site",
-    "register_handler",
     "run_rules",
     "scatter_conflicts",
     "static_weight_bytes",

@@ -1,22 +1,36 @@
-"""Static intermediate representation of a sparse-convolution model.
+"""Intermediate representation of a sparse-convolution model, recorded from
+one simulated run of its real ``forward``.
 
-The IR is produced by :mod:`repro.analyze.propagate` *without executing any
-data*: coordinate stride, channel counts and kernel-map scope are propagated
-symbolically through the model graph.  Everything a lint rule needs is a
-plain record here — nodes (one per layer execution), join events (skip
-connections and residual adds), kernel-map events (builds, cache hits,
-transposed-map lookups) and channel mismatches.
+:func:`trace_model` runs the model once in ``simulate_only`` mode on a
+small synthetic scene with an :class:`IRRecorder` installed as the
+execution context's recorder.  The layers report what they actually did:
+every layer execution becomes a node, every kernel-map lookup a map event
+(build, cache hit, transposed reuse — lineage is whichever ``MapCache``
+the input tensor carries), every skip concat or residual add a join.  A
+hazard — a transposed convolution with no forward map, an indivisible
+upsample, a channel mismatch, a stride-mismatched join — is recorded
+first and then raised by the layer as a named error, which ends the walk.
+The same run's kernel trace feeds the trace-level lint rules.
 
 All the hazards the paper's design space exposes — stride-mismatched skip
 joins, transposed convolutions with no cached encoder map, channel counts
-that waste tensor-core tiles through padding (Figure 21) — are decidable on
-this IR at load time, before a single batch runs.
+that waste tensor-core tiles through padding (Figure 21) — are decidable
+on this IR at load time, before a single batch runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
+
+from repro.errors import ReproError
+from repro.gpusim.trace import KernelTrace
+from repro.hw.specs import DeviceSpec
+from repro.nn.context import ExecutionContext
+from repro.precision import Precision
+from repro.sparse.tensor import SparseTensor
 
 #: Per-dimension coordinate (tensor) stride.
 Stride = Tuple[int, ...]
@@ -27,14 +41,15 @@ SignatureKey = Tuple[Stride, Stride, Stride, bool]
 
 
 @dataclasses.dataclass(frozen=True)
-class SymbolicTensor:
-    """What static propagation knows about a tensor: no data, only shape.
+class IRTensor:
+    """What the IR keeps of a tensor: no data, only shape.
 
     Attributes:
         stride: coordinate stride per spatial dimension.
         channels: feature width.
         cache_token: identity of the ``MapCache`` lineage this tensor's maps
-            live in.  Layers chained through ``SparseTensor.with_feats`` /
+            live in, numbered in order of first appearance (the input's is
+            0).  Layers chained through ``SparseTensor.with_feats`` /
             convolution outputs share one token; a module that materialises
             a fresh tensor breaks the lineage (and with it kernel-map
             reuse), which :func:`repro.analyze.rules` flags.
@@ -44,21 +59,15 @@ class SymbolicTensor:
     channels: int
     cache_token: int = 0
 
-    def with_channels(self, channels: int) -> "SymbolicTensor":
-        return dataclasses.replace(self, channels=channels)
-
-    def with_stride(self, stride: Stride) -> "SymbolicTensor":
-        return dataclasses.replace(self, stride=stride)
-
 
 @dataclasses.dataclass
 class IRNode:
-    """One layer execution in the symbolic walk (a layer traced twice —
-    e.g. shared submodules — contributes one node per execution)."""
+    """One layer execution in the walk (a layer run twice — e.g. shared
+    submodules — contributes one node per execution)."""
 
     path: str
     module_type: str
-    kind: str  # "conv" | "norm" | "activation" | "concat" | "opaque"
+    kind: str  # "conv" | "norm" | "activation" | "concat"
     label: Optional[str] = None
     in_channels: Optional[int] = None
     out_channels: Optional[int] = None
@@ -92,7 +101,7 @@ class JoinEvent:
 
 @dataclasses.dataclass(frozen=True)
 class MapEvent:
-    """One kernel-map interaction during the symbolic walk.
+    """One kernel-map lookup during the walk.
 
     ``event`` is one of:
 
@@ -124,20 +133,23 @@ class ChannelMismatch:
 
 @dataclasses.dataclass
 class ModelIR:
-    """The full static IR of one model: nodes plus structural events."""
+    """The full IR of one model: nodes plus structural events."""
 
     model_type: str
-    input: SymbolicTensor
-    output: Optional[SymbolicTensor] = None
+    input: IRTensor
+    output: Optional[IRTensor] = None
     nodes: List[IRNode] = dataclasses.field(default_factory=list)
     joins: List[JoinEvent] = dataclasses.field(default_factory=list)
     map_events: List[MapEvent] = dataclasses.field(default_factory=list)
     channel_mismatches: List[ChannelMismatch] = dataclasses.field(
         default_factory=list
     )
-    #: Paths of modules (``Module.named_modules`` order) never reached by
-    #: the symbolic walk — candidates for the dead-submodule rule.
+    #: Top-most paths of modules (``Module.named_modules`` order) the walk
+    #: never reached — candidates for the dead-submodule rule.  Empty when
+    #: a hazard stopped the walk early.
     unvisited_paths: List[str] = dataclasses.field(default_factory=list)
+    #: Kernel trace of the walk (``None`` when a hazard stopped it).
+    trace: Optional[KernelTrace] = None
 
     # ------------------------------------------------------------------ #
     def conv_nodes(self) -> List[IRNode]:
@@ -162,11 +174,14 @@ class ModelIR:
     def mark_boundaries(self) -> None:
         """Tag the first conv's input and the last conv's output as fixed
         by the task (dataset channels / class count): their alignment is
-        not the architect's to change."""
+        not the architect's to change.  A walk a hazard stopped has no
+        known last conv."""
         convs = self.conv_nodes()
         if not convs:
             return
         convs[0].boundary = "input"
+        if self.output is None:
+            return
         last = convs[-1]
         last.boundary = "output" if last.boundary == "" else "input+output"
 
@@ -187,3 +202,161 @@ class ModelIR:
                 f"{len(group)} layer(s)"
             )
         return "\n".join(lines)
+
+
+class IRRecorder:
+    """Execution-context recorder that builds a :class:`ModelIR` from the
+    events layers report through :meth:`ExecutionContext.observe` while
+    ``model`` runs on input ``x``."""
+
+    def __init__(self, model: Any, x: SparseTensor) -> None:
+        root = type(model).__name__
+        self._model = model
+        self._paths: Dict[int, str] = {}
+        for path, module in model.named_modules():
+            self._paths.setdefault(
+                id(module), path if module is model else f"{root}.{path}"
+            )
+        self._seen = {id(model)}
+        #: Map caches by first appearance; held so identities stay unique.
+        self._caches: List[Any] = []
+        #: Whether the latest event was a hazard (its layer raises next).
+        self.hazard = False
+        self.ir = ModelIR(model_type=root, input=self.tensor(x))
+
+    def __call__(self, **_: Any) -> None:
+        """Convolution shape hook: shapes arrive through :meth:`observe`."""
+
+    def token(self, cache: Any) -> int:
+        for i, known in enumerate(self._caches):
+            if known is cache:
+                return i
+        self._caches.append(cache)
+        return len(self._caches) - 1
+
+    def tensor(self, x: SparseTensor) -> IRTensor:
+        return IRTensor(x.stride, x.num_channels, self.token(x.cache))
+
+    def observe(self, event: str, module: Any, *args: Any) -> None:
+        self._seen.add(id(module))
+        path = self._paths.get(id(module), type(module).__name__)
+        ir = self.ir
+        self.hazard = False
+        if event == "map":
+            x, key, outcome = args
+            self.hazard = outcome in ("missing_forward_map", "bad_upsample")
+            ir.map_events.append(
+                MapEvent(path, key, self.token(x.cache), outcome)
+            )
+        elif event == "join":
+            kind, left, right = args
+            self.hazard = left.stride != right.stride or (
+                kind == "residual_add"
+                and left.num_channels != right.num_channels
+            )
+            ir.joins.append(
+                JoinEvent(
+                    path, kind, left.stride, right.stride,
+                    left.num_channels, right.num_channels,
+                )
+            )
+        elif event == "channel_mismatch":
+            expected, got = args
+            self.hazard = True
+            ir.channel_mismatches.append(ChannelMismatch(path, expected, got))
+        else:
+            x, out = args
+            node = IRNode(
+                path=path,
+                module_type=type(module).__name__,
+                kind=event,
+                label=getattr(module, "label", None),
+                in_channels=x.num_channels,
+                out_channels=out.num_channels,
+                in_stride=x.stride,
+                out_stride=out.stride,
+            )
+            if event == "conv":
+                weight = np.asarray(module.weight.data, dtype=np.float64)
+                node.kernel_size = module.kernel_size
+                node.conv_stride = module.stride
+                node.transposed = module.transposed
+                node.pointwise = module.is_pointwise
+                node.signature = module.signature(x.stride)
+                node.weight_abs_max = (
+                    float(np.max(np.abs(weight))) if weight.size else 0.0
+                )
+                node.weight_rms = (
+                    float(np.sqrt(np.mean(weight * weight)))
+                    if weight.size else 0.0
+                )
+            ir.nodes.append(node)
+
+    def unvisited(self) -> List[str]:
+        """Top-most ``named_modules`` paths no layer under them reported."""
+        live: Set[str] = set()
+        for path, module in self._model.named_modules():
+            if id(module) in self._seen:
+                parts = path.split(".")
+                live.update(
+                    ".".join(parts[:i]) for i in range(1, len(parts) + 1)
+                )
+        dead: List[str] = []
+        for path, module in self._model.named_modules():
+            if module is self._model or path in live:
+                continue
+            if any(path.startswith(p + ".") for p in dead):
+                continue  # already covered by an unvisited ancestor
+            dead.append(path)
+        return dead
+
+
+def _synthetic_scene(
+    in_channels: int, ndim: int, stride: Stride, num_points: int = 150
+) -> SparseTensor:
+    """The small seeded scene the walk runs on: up to ``num_points``
+    unique coordinates in a 24-wide box, scaled to ``stride``."""
+    rng = np.random.default_rng(0)
+    coords = np.unique(
+        rng.integers(0, 24, size=(num_points, ndim), dtype=np.int32), axis=0
+    ) * np.asarray(stride, dtype=np.int32)
+    # Leading batch column (single scene).
+    coords = np.concatenate(
+        [np.zeros((len(coords), 1), dtype=np.int32), coords], axis=1
+    )
+    feats = rng.standard_normal((len(coords), in_channels)).astype(np.float32)
+    return SparseTensor(coords=coords, feats=feats, stride=stride)
+
+
+def trace_model(
+    model: Any,
+    in_channels: int,
+    ndim: int = 3,
+    stride: Optional[Stride] = None,
+    device: "DeviceSpec | str" = "a100",
+    precision: "Precision | str" = Precision.FP16,
+    policy: Optional[Any] = None,
+) -> ModelIR:
+    """Record ``model``'s IR from one ``simulate_only`` run of its forward.
+
+    A hazard ends the walk with the hazard recorded and no trace; any
+    other error ``forward`` raises propagates to the caller.
+    """
+    x = _synthetic_scene(in_channels, ndim, stride or (1,) * ndim)
+    recorder = IRRecorder(model, x)
+    ir = recorder.ir
+    ctx = ExecutionContext(
+        device=device, precision=precision, policy=policy, simulate_only=True
+    )
+    ctx.recorder = recorder
+    try:
+        out = model(x, ctx)
+    except ReproError:
+        if not recorder.hazard:
+            raise
+    else:
+        ir.output = recorder.tensor(out)
+        ir.unvisited_paths = recorder.unvisited()
+        ir.trace = ctx.trace
+    ir.mark_boundaries()
+    return ir

@@ -26,7 +26,8 @@ This module checks the keys mechanically:
   diff the recorded read set against the schema, and report
   ``unkeyed-read`` (error: read but not keyed, not exempted) and
   ``overkeyed-field`` (info: key component whose covered paths were never
-  read).  Both surface as lint rules and via ``repro keycheck``.
+  read).  Both surface via ``repro keycheck`` and the test suite's
+  session audit.
 * **Differential fuzzing** (:func:`fuzz_cache_site`) — a seeded fuzzer
   per site that perturbs *non-key* fields and asserts byte-identical
   cached results (and, for the trace memo, that key-field perturbations
@@ -34,8 +35,7 @@ This module checks the keys mechanically:
   like the trace sanitizer.
 
 Audits are memoized per (site, schema object): the probes build tiny
-scenes and runtimes, so the cost is paid once per process no matter how
-many lint invocations run.
+scenes and runtimes, so the cost is paid once per process.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import dataclasses
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.analyze.rules import Finding, LintContext, Severity, lint_rule
+from repro.analyze.rules import Finding, Severity
 from repro.gpusim.engine import PRICING_FIELDS, SCHEDULE_FIELDS
 
 
@@ -212,11 +212,6 @@ class SiteAudit:
 #: only while the registered schema object is unchanged.
 _AUDITS: Dict[str, Tuple[KeySchema, SiteAudit]] = {}
 
-#: True while a probe/fuzzer executes: the lint rules below bail out so a
-#: probe's serving runtime can never recursively re-enter the audit
-#: through admission linting.
-_IN_PROBE = False
-
 
 def _resolve_schema(site: "str | KeySchema") -> KeySchema:
     if isinstance(site, KeySchema):
@@ -232,18 +227,13 @@ def _resolve_schema(site: "str | KeySchema") -> KeySchema:
 
 def audit_cache_site(site: "str | KeySchema") -> SiteAudit:
     """Probe one cache site and diff its read set against its schema."""
-    global _IN_PROBE
     schema = _resolve_schema(site)
     cached = _AUDITS.get(schema.site)
     if cached is not None and cached[0] is schema:
         return cached[1]
     if schema.probe is None:
         raise ValueError(f"cache site {schema.site!r} declares no probe")
-    _IN_PROBE = True
-    try:
-        log = schema.probe()
-    finally:
-        _IN_PROBE = False
+    log = schema.probe()
     reads = log.sorted()
     covers: List[str] = list(schema.declared_reads)
     for component in schema.components:
@@ -333,26 +323,6 @@ def provenance_findings() -> List[Finding]:
     return findings
 
 
-@lint_rule(
-    "unkeyed-read",
-    "cached computations must key (or exempt) every input field they read",
-)
-def _rule_unkeyed_read(ctx: LintContext) -> List[Finding]:
-    if _IN_PROBE:
-        return []
-    return [f for f in provenance_findings() if f.rule == "unkeyed-read"]
-
-
-@lint_rule(
-    "overkeyed-field",
-    "cache-key components never read by the computation cause pure misses",
-)
-def _rule_overkeyed_field(ctx: LintContext) -> List[Finding]:
-    if _IN_PROBE:
-        return []
-    return [f for f in provenance_findings() if f.rule == "overkeyed-field"]
-
-
 # ---------------------------------------------------------------------- #
 # Differential fuzzing
 # ---------------------------------------------------------------------- #
@@ -384,16 +354,11 @@ def fuzz_cache_site(site: "str | KeySchema", seed: int = 0) -> FuzzReport:
     the cached result is byte-identical; sites without a fuzzer report
     zero trials.
     """
-    global _IN_PROBE
     schema = _resolve_schema(site)
     if schema.fuzz is None:
         return FuzzReport(site=schema.site, trials=0, failures=())
     rng = random.Random(seed)
-    _IN_PROBE = True
-    try:
-        trials, failures = schema.fuzz(rng)
-    finally:
-        _IN_PROBE = False
+    trials, failures = schema.fuzz(rng)
     return FuzzReport(
         site=schema.site, trials=trials, failures=tuple(failures)
     )
@@ -435,8 +400,7 @@ def _probe_kmap(n: int = 160, seed: int = 0) -> Any:
 def _probe_runtime() -> Any:
     from repro.serve.runtime import ServeConfig, ServingRuntime
 
-    # Tiny scenes; admission lint off so a probe can never recursively
-    # re-enter the provenance rules through the admission controller.
+    # Tiny scenes and no admission lint: the probes exercise the caches.
     return ServingRuntime(
         ServeConfig(
             device="a100", scene_scale=0.05, lint_admission=False

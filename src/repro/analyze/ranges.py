@@ -2,8 +2,8 @@
 
 The second pass of the PR's two-pass analyzer: starting from an assumed
 input range (normalized features) and each convolution's *initialized
-weight statistics* (captured on the IR by the symbolic tracer, no data
-executed), propagate an interval model through the module tree:
+weight statistics* (captured on the IR's convolution nodes), propagate an
+interval model through the module tree:
 
 * a convolution with fan-in ``F = volume * C_in`` multiplies the hard
   bound by ``F * max|w|`` (worst case: every operand at its extreme) and
@@ -149,7 +149,7 @@ def propagate_ranges(
             current = ValueRange(
                 abs_max=current.abs_max, rms=current.rms / math.sqrt(2.0)
             )
-        # concat/opaque: range unchanged.
+        # concat: range unchanged.
         layers.append(
             LayerRange(
                 path=node.path,
@@ -168,8 +168,8 @@ def model_range_report(
     ndim: int = 3,
     input_range: ValueRange = DEFAULT_INPUT_RANGE,
 ) -> RangeReport:
-    """Trace ``model`` symbolically and propagate value ranges."""
-    from repro.analyze.propagate import trace_model
+    """Record ``model``'s IR and propagate value ranges through it."""
+    from repro.analyze.ir import trace_model
 
     ir = trace_model(model, in_channels=in_channels, ndim=ndim)  # type: ignore[arg-type]
     return propagate_ranges(ir, input_range)

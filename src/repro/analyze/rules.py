@@ -131,15 +131,18 @@ class LintContext:
     #: Optional tuned policy (``FixedPolicy``/``GroupPolicy``); ``None``
     #: means the default layer configuration for every signature group.
     policy: Optional[Any] = None
-    #: Optional kernel trace of one executed (or simulated) run; the
-    #: dependence/liveness rules are skipped when no trace is supplied.
-    trace: Optional[KernelTrace] = None
     _trace_violations: Optional[List[TraceViolation]] = dataclasses.field(
         default=None, repr=False
     )
     _schedule: Optional["StreamSchedule"] = dataclasses.field(
         default=None, repr=False
     )
+
+    @property
+    def trace(self) -> Optional[KernelTrace]:
+        """Kernel trace of the IR's walk; the dependence/liveness rules
+        are skipped without one (a hazard stopped the walk)."""
+        return self.ir.trace
 
     def layer_config(self, signature: Any) -> LayerConfig:
         if self.policy is None:

@@ -23,9 +23,9 @@ Commands:
   a workload online against a persistent tuning database, ``inspect`` a
   database, and ``merge`` replica databases;
 * ``dataflows`` — list the registered sparse convolution dataflows;
-* ``lint`` — statically analyze a model (bundled workload or
-  ``module:factory`` import spec) for stride/channel/map/precision
-  hazards without running it;
+* ``lint`` — analyze a model (bundled workload or ``module:factory``
+  import spec) for stride/channel/map/precision hazards from one
+  simulated forward pass on a small scene;
 * ``keycheck`` — audit cache-key soundness: probe every registered
   memoization site (:mod:`repro.analyze.provenance`) with recording
   proxies, diff observed reads against the declared key schema, and
@@ -179,7 +179,6 @@ def _cmd_lint(args) -> int:
         precision=args.precision,
         policy=policy,
         rules=rules,
-        collect_trace=not args.no_trace,
     )
     failing = [f for f in findings if f.severity.rank >= fail_on.rank]
     if args.json:
@@ -1040,10 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically analyze a model without running it",
+        help="analyze a model from one simulated forward pass",
         description=(
-            "Symbolically propagate strides and channels through a model "
-            "and report stride/channel/map/precision hazards.  Exit codes: "
+            "Run the model's forward once on a small simulated scene, "
+            "record strides, channels and kernel-map lineage, and report "
+            "stride/channel/map/precision hazards.  Exit codes: "
             "0 = clean (no finding at or above --fail-on), 1 = findings at "
             "or above --fail-on, 2 = usage error (unknown names)."
         ),
@@ -1078,11 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="list the registered lint rules and exit",
-    )
-    lint.add_argument(
-        "--no-trace", action="store_true",
-        help="skip the simulated execution that feeds the trace-level "
-             "dependence/liveness rules (static rules only)",
     )
     lint.set_defaults(func=_cmd_lint)
 

@@ -38,6 +38,7 @@ class ReLU(Module):
 
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
         self._charge(x.feats.size, ctx)
+        ctx.observe("activation", self, x, x)
         if ctx.simulate_only:
             if self.training:
                 self._saved = np.ones((1, 1), dtype=bool)  # broadcastable

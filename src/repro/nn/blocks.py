@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.nn.activation import ReLU
 from repro.nn.context import ExecutionContext
 from repro.nn.conv import SparseConv3d
@@ -59,6 +60,7 @@ class ResidualBlock(Module):
         seed: int = 0,
     ):
         super().__init__()
+        self.label = label
         self.conv1 = SparseConv3d(
             in_channels, out_channels, 3, label=f"{label}.conv1", seed=seed
         )
@@ -84,6 +86,15 @@ class ResidualBlock(Module):
         identity = self.projection(x, ctx) if self.projection else x
         out = self.relu1(self.bn1(self.conv1(x, ctx), ctx), ctx)
         out = self.bn2(self.conv2(out, ctx), ctx)
+        ctx.observe("join", self, "residual_add", out, identity)
+        if (out.stride, out.num_channels) != (
+            identity.stride, identity.num_channels
+        ):
+            raise ShapeError(
+                f"{self.label}: cannot add a skip of stride {identity.stride}"
+                f" and {identity.num_channels} channels to stride "
+                f"{out.stride} and {out.num_channels} channels"
+            )
         summed = out.with_feats(out.feats + identity.feats.astype(out.feats.dtype))
         return self.relu_out(summed, ctx)
 

@@ -172,11 +172,28 @@ class ExecutionContext:
         self._charged: set = set()
         #: Optional callback ``(signature=, kmap=, c_in=, c_out=, label=)``
         #: invoked by every convolution layer — the autotuner's probe hook.
+        #: A recorder with an ``observe`` method also receives the
+        #: structural events of the walk (see :meth:`observe`).
         self.recorder: Optional[Callable] = None
         #: Fully-qualified buffer id of the most recent forward conv's
         #: output features; the next forward conv reads it, chaining
         #: layers with real RAW edges in the dependence analyzer.
         self.feature_buffer: Optional[str] = None
+
+    def observe(self, event: str, module: object, *args: object) -> None:
+        """Report one structural event of the forward walk to a recorder
+        that listens for them (the static analyzer's IR recorder).
+
+        Layers report ``"conv"``/``"norm"``/``"activation"``/``"concat"``
+        with ``(input, output)``; convolutions report each kernel-map
+        lookup as ``"map"`` with ``(input, key, outcome)``; joins report
+        ``"join"`` with ``(kind, left, right)``; a layer fed the wrong
+        width reports ``"channel_mismatch"`` with ``(expected, got)``.
+        Hazards are reported before the layer raises.
+        """
+        observe = getattr(self.recorder, "observe", None)
+        if observe is not None:
+            observe(event, module, *args)
 
     def charge_once(self, key: tuple) -> bool:
         """Return True exactly once per key per context."""

@@ -135,6 +135,9 @@ class SparseConv3d(Module):
             )
             key = (x.stride, self.kernel_size, self.stride, False)
             kmap = x.cache.get(key)
+            ctx.observe(
+                "map", self, x, key, "build" if kmap is None else "hit"
+            )
             if kmap is None:
                 kmap = build_kernel_map(
                     x.coords,
@@ -158,20 +161,25 @@ class SparseConv3d(Module):
 
         # Transposed: reuse the map built by the matching downsample conv.
         out_stride = tuple(t // s for t, s in zip(x.stride, self.stride))
+        t_key = (x.stride, self.kernel_size, self.stride, True)
         if any(t % s for t, s in zip(x.stride, self.stride)):
+            ctx.observe("map", self, x, t_key, "bad_upsample")
             raise ConfigError(
                 f"cannot upsample stride {x.stride} by {self.stride}"
             )
-        t_key = (x.stride, self.kernel_size, self.stride, True)
         kmap = x.cache.get(t_key)
-        if kmap is None:
+        if kmap is not None:
+            ctx.observe("map", self, x, t_key, "hit")
+        else:
             base_key = (out_stride, self.kernel_size, self.stride, False)
             base = x.cache.get(base_key)
             if base is None:
+                ctx.observe("map", self, x, t_key, "missing_forward_map")
                 raise MapError(
                     f"{self.label}: transposed convolution found no cached "
                     f"map for {base_key}; run the matching downsample first"
                 )
+            ctx.observe("map", self, x, t_key, "transposed_reuse")
             kmap = base.transposed()
             x.cache.put(t_key, kmap)
             # Transposition reuses the stored pairs; only a relabeling pass
@@ -255,11 +263,7 @@ class SparseConv3d(Module):
 
     # ------------------------------------------------------------------ #
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
-        if x.num_channels != self.in_channels:
-            raise ConfigError(
-                f"{self.label}: expected {self.in_channels} input channels, "
-                f"got {x.num_channels}"
-            )
+        self.check_channels(x, self.in_channels, ctx)
         kmap, out_stride = self._resolve_kmap(x, ctx)
         signature = self.signature(x.stride)
         if ctx.recorder is not None:
@@ -283,9 +287,11 @@ class SparseConv3d(Module):
                 "kmap": kmap,
                 "signature": signature,
             }
-        return SparseTensor(
+        out = SparseTensor(
             kmap.out_coords, out_feats, stride=out_stride, cache=x.cache
         )
+        ctx.observe("conv", self, x, out)
+        return out
 
     def _mark_structure(
         self, kmap: KernelMap, weight_stationary: bool, ctx: ExecutionContext

@@ -46,6 +46,12 @@ class ConcatSkip(Module):
     def forward(
         self, x: SparseTensor, skip: SparseTensor, ctx: ExecutionContext
     ) -> SparseTensor:
+        ctx.observe("join", self, "concat", x, skip)
+        if x.stride != skip.stride:
+            raise ShapeError(
+                f"{self.label}: cannot concat stride {x.stride} with "
+                f"stride {skip.stride}"
+            )
         if x.num_points != skip.num_points:
             raise ShapeError(
                 f"{self.label}: cannot concat {x.num_points} with "
@@ -56,7 +62,9 @@ class ConcatSkip(Module):
             [x.feats, skip.feats.astype(x.feats.dtype)], axis=1
         )
         self._charge(feats.size, ctx)
-        return x.with_feats(feats)
+        out = x.with_feats(feats)
+        ctx.observe("concat", self, x, out)
+        return out
 
     def backward(
         self, grad: np.ndarray, ctx: ExecutionContext

@@ -11,6 +11,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 class Parameter:
     """A learnable array with an accumulated gradient."""
@@ -128,6 +130,17 @@ class Module:
             raise KeyError(f"unexpected keys in state dict: {sorted(extra)}")
 
     # ------------------------------------------------------------------ #
+    def check_channels(self, x, expected: int, ctx) -> None:
+        """Raise :class:`ConfigError` when ``x`` is not ``expected``
+        channels wide, reporting the mismatch to ``ctx``'s recorder first."""
+        if x.num_channels == expected:
+            return
+        ctx.observe("channel_mismatch", self, expected, x.num_channels)
+        raise ConfigError(
+            f"{getattr(self, 'label', type(self).__name__)}: expected "
+            f"{expected} input channels, got {x.num_channels}"
+        )
+
     def forward(self, x, ctx):  # pragma: no cover - abstract
         raise NotImplementedError
 

@@ -53,6 +53,8 @@ class BatchNorm(Module):
         ctx.trace.extend(trace)
 
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
+        self.check_channels(x, self.num_features, ctx)
+        ctx.observe("norm", self, x, x)
         if ctx.simulate_only:
             self._charge(x.num_points, ctx, passes=2 if self.training else 1)
             if self.training:

@@ -471,10 +471,10 @@ class ServingRuntime:
 
     # ------------------------------------------------------------------ #
     def _admit(self, workload_id: str, model: Module, in_channels: int) -> None:
-        """Admission control: statically lint the model for this runtime's
-        device/precision and reject error-level findings before any
-        replica accepts traffic (the load-time check the static analyzer
-        exists for — a bad model should fail admission, not crash
+        """Admission control: lint the model for this runtime's
+        device/precision from one simulated walk of its forward and reject
+        error-level findings, or a forward that raises, before any replica
+        accepts traffic (a bad model should fail admission, not crash
         mid-batch).  Memory-aware admission is unconditional: a model
         whose static weight footprint — a lower bound on any execution's
         resident memory, before a single feature is allocated — already
@@ -490,30 +490,40 @@ class ServingRuntime:
                 f"{self.device.name} (headroom "
                 f"{self.config.mem_headroom:.0%})"
             )
+        from repro.analyze import (
+            Severity,
+            lint_model,
+            precision_drop_veto,
+            trace_model,
+        )
+
+        # One walk of the real forward feeds both the value-range pass and
+        # the lint rules.
+        try:
+            ir = trace_model(
+                model,
+                in_channels=in_channels,
+                device=self.device,
+                precision=self.precision,
+            )
+        except Exception as exc:
+            raise AdmissionError(
+                f"model for {workload_id!r} rejected at admission: forward "
+                f"raised {type(exc).__name__}: {exc}"
+            ) from exc
         # Static value-range pass: decide once, at admission, whether the
         # degradation ladder may ever take its precision-drop rung for
         # this model (an unsafe drop would overflow fp16 features and
         # break the degraded-results error bound).
-        from repro.analyze import precision_drop_veto, trace_model
-
-        try:
-            ir = trace_model(model, in_channels=in_channels)
-            self._precision_vetoes[workload_id] = precision_drop_veto(ir)
-        except Exception:
-            # Untraceable model: be conservative, forbid the drop.
-            self._precision_vetoes[workload_id] = (
-                "value-range pass could not trace the model"
-            )
+        self._precision_vetoes[workload_id] = precision_drop_veto(ir)
         if not self.config.lint_admission:
             return
-        from repro.analyze import Severity, lint_model
-
         findings = lint_model(
             model,
             in_channels=in_channels,
             device=self.device,
             precision=self.precision,
-            collect_trace=True,
+            ir=ir,
         )
         errors = [f for f in findings if f.severity is Severity.ERROR]
         if errors:

@@ -14,7 +14,6 @@ one small network:
 
 from __future__ import annotations
 
-from repro.analyze import register_handler
 from repro.nn.blocks import ConvBlock
 from repro.nn.conv import SparseConv3d
 from repro.nn.join import ConcatSkip
@@ -38,18 +37,10 @@ class BrokenSkipNet(Module):
     def forward(self, x, ctx):
         s = self.stem(x, ctx)
         d = self.down(s, ctx)
-        # Bug under test: d is on stride 2, s on stride 1 — at runtime the
-        # point counts differ and ConcatSkip raises mid-batch.
+        # Bug under test: d is on stride 2, s on stride 1 — ConcatSkip
+        # raises mid-batch.
         joined = self.skip.forward(d, s, ctx)
         return self.head(joined, ctx)
-
-
-@register_handler(BrokenSkipNet)
-def _trace_broken_skip_net(tracer, module, x, path):
-    s = tracer.trace(module.stem, x, f"{path}.stem")
-    d = tracer.trace(module.down, s, f"{path}.down")
-    joined = tracer.concat(module.skip, d, s, f"{path}.skip")
-    return tracer.trace(module.head, joined, f"{path}.head")
 
 
 def build_broken() -> BrokenSkipNet:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analyze import register_handler
 from repro.gpusim.trace import KernelTrace
 from repro.kernels.gather_scatter import gather_gemm_scatter_trace
 from repro.nn.module import Module
@@ -86,13 +85,6 @@ class BrokenTraceNet(Module):
     def forward(self, x, ctx):
         ctx.trace.extend(self.injected)
         return x
-
-
-@register_handler(BrokenTraceNet)
-def _trace_broken_trace_net(tracer, module, x, path):
-    # Opaque to the symbolic walk: the hazard lives in the kernel trace,
-    # not the module graph.
-    return x
 
 
 def build_dropped_gather() -> BrokenTraceNet:

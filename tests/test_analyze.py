@@ -1,4 +1,4 @@
-"""Static analyzer tests: IR propagation and the lint-rule catalogue."""
+"""Static analyzer tests: the recorded IR and the lint-rule catalogue."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.analyze import (
     lint_model,
     lint_workload,
     max_severity,
-    register_handler,
     run_rules,
     trace_model,
 )
@@ -20,6 +19,7 @@ from repro.nn.conv import SparseConv3d
 from repro.nn.module import Module
 from repro.nn.sequential import Sequential
 from repro.precision import Precision
+from repro.sparse.tensor import SparseTensor
 from tests.broken_models import BrokenSkipNet
 
 
@@ -81,15 +81,27 @@ class TestSymbolicPropagation:
         mismatch = ir.channel_mismatches[0]
         assert mismatch.expected == 16 and mismatch.got == 8
 
-    def test_unknown_module_is_opaque_and_children_unvisited(self):
+    def test_non_hazard_forward_error_propagates(self):
         class Mystery(Module):
             def __init__(self):
                 super().__init__()
                 self.inner = SparseConv3d(4, 8, 3, label="inner")
 
-        ir = trace_model(Mystery(), in_channels=4)
-        assert any(n.kind == "opaque" for n in ir.nodes)
-        assert "inner" in ir.unvisited_paths
+        with pytest.raises(NotImplementedError):
+            trace_model(Mystery(), in_channels=4)
+
+    def test_hazard_stops_walk_without_dead_submodules(self):
+        ir = trace_model(BrokenSkipNet(), in_channels=4)
+        assert [j.kind for j in ir.joins] == ["concat"]
+        # The walk ended at the join: the head never ran, yet it is not
+        # reported dead, and no trace feeds the trace rules.
+        assert not any(n.path.endswith("head") for n in ir.nodes)
+        assert ir.unvisited_paths == []
+        assert ir.output is None and ir.trace is None
+
+    def test_walk_records_execution_trace(self):
+        ir = trace_model(MinkUNet(width=0.5), in_channels=4)
+        assert ir.trace is not None and len(ir.trace) > 0
 
 
 class TestLintRules:
@@ -204,13 +216,12 @@ class TestLintRules:
                 self.a = SparseConv3d(4, 8, 3, label="a")
                 self.b = SparseConv3d(4, 8, 3, label="b")
 
-        @register_handler(TwoCaches)
-        def _trace_two_caches(tracer, module, x, path):
-            xa = tracer.trace(module.a, x, f"{path}.a")
-            # Simulates rebuilding the SparseTensor from raw coordinates:
-            # the same map key is built again in a fresh cache scope.
-            tracer.trace(module.b, tracer.fresh_cache(x), f"{path}.b")
-            return xa
+            def forward(self, x, ctx):
+                xa = self.a(x, ctx)
+                # Rebuilding the SparseTensor from raw coordinates drops
+                # the shared cache: the same map is built again.
+                self.b(SparseTensor(x.coords, x.feats, stride=x.stride), ctx)
+                return xa
 
         findings = run_rules(
             _lint_ctx(TwoCaches(), in_channels=4), rules=["kmap-reuse"]
@@ -234,9 +245,8 @@ class TestLintRules:
                 self.used = SparseConv3d(4, 8, 3, label="used")
                 self.unused = ConvBlock(8, 8, 3, label="unused")
 
-        @register_handler(HasDead)
-        def _trace_has_dead(tracer, module, x, path):
-            return tracer.trace(module.used, x, f"{path}.used")
+            def forward(self, x, ctx):
+                return self.used(x, ctx)
 
         findings = run_rules(
             _lint_ctx(HasDead(), in_channels=4), rules=["dead-submodule"]

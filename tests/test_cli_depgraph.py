@@ -85,16 +85,6 @@ class TestLintTraceRules:
         assert doc["failed"]
         assert any(f["rule"] == rule for f in doc["findings"]), doc
 
-    def test_no_trace_flag_suppresses_trace_rules(self, capsys):
-        spec = "tests.broken_traces:build_dropped_gather"
-        rc, out, _ = run(capsys, ["lint", spec, "--json", "--no-trace"])
-        assert rc == 0
-        doc = json.loads(out)
-        assert not doc["failed"]
-        assert all(
-            f["severity"] != "error" for f in doc["findings"]
-        ), doc
-
 
 class TestMemoryJson:
     def test_schema_and_parse(self, capsys):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, MapError
+from repro.errors import ConfigError, MapError, ShapeError
 from repro.gpusim.trace import LaunchKind
 from repro.nn import (
     BatchNorm,
+    ConcatSkip,
     ConvBlock,
     ExecutionContext,
     FixedPolicy,
@@ -193,6 +194,13 @@ class TestElementwiseLayers:
         assert grad.shape == x.feats.shape
         assert bn.gamma.grad is not None
 
+    @pytest.mark.parametrize("simulate_only", [False, True])
+    def test_batchnorm_rejects_wrong_width(self, simulate_only):
+        ctx = ExecutionContext(simulate_only=simulate_only)
+        with pytest.raises(ConfigError, match="expected 16 input channels, got 8"):
+            BatchNorm(16)(make_tensor(channels=8), ctx)
+        assert len(ctx.trace) == 0  # nothing charged for the wrong width
+
 
 class TestBlocksAndContainers:
     def test_residual_block_roundtrip(self):
@@ -204,6 +212,24 @@ class TestBlocksAndContainers:
         assert y.num_channels == 16
         grad = block.backward(np.ones(y.feats.shape, dtype=np.float16), ctx)
         assert grad.shape == x.feats.shape
+
+    def test_concat_rejects_stride_mismatch_with_equal_points(self):
+        # A 27-point lattice with spacing 4 survives a k2/s2 downsample
+        # intact, so only the stride check can catch the bad join.
+        axis = np.arange(0, 12, 4)
+        spatial = np.stack(
+            np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        coords = np.concatenate([np.zeros((27, 1)), spatial], axis=1)
+        x = SparseTensor(coords.astype(np.int32), np.ones((27, 4), np.float32))
+        ctx = ExecutionContext()
+        stem = SparseConv3d(4, 4, 3)(x, ctx)
+        down = SparseConv3d(4, 4, kernel_size=2, stride=2)(stem, ctx)
+        assert down.num_points == stem.num_points == 27
+        with pytest.raises(
+            ShapeError, match=r"stride \(2, 2, 2\) with stride \(1, 1, 1\)"
+        ):
+            ConcatSkip().forward(down, stem, ctx)
 
     def test_residual_identity_skip_when_channels_match(self):
         block = ResidualBlock(8, 8)

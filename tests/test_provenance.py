@@ -242,9 +242,11 @@ def test_probe_less_schema_rejected(clean_registry):
 # ---------------------------------------------------------------------- #
 # Lint integration
 # ---------------------------------------------------------------------- #
-def test_provenance_rules_registered():
-    assert "unkeyed-read" in RULES
-    assert "overkeyed-field" in RULES
+def test_provenance_is_not_a_lint_rule():
+    # Key soundness is a property of the code: `repro keycheck` and the
+    # session audit prove it, model lint and admission do not re-prove it.
+    assert "unkeyed-read" not in RULES
+    assert "overkeyed-field" not in RULES
 
 
 def test_builtin_sites_audit_sound():

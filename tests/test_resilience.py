@@ -551,9 +551,9 @@ class TestPeakMemoryLint:
         ]
 
     def test_static_weights_lower_bound_runtime_weights(self, model, workload):
-        from repro.analyze import analyze_model
+        from repro.analyze import trace_model
 
-        ir = analyze_model(
+        ir = trace_model(
             model, in_channels=workload.dataset_config.in_channels
         )
         fp16 = static_weight_bytes(ir, Precision.FP16)

@@ -308,6 +308,20 @@ class TestLintAdmission:
         )
         assert runtime.model("broken") is model
 
+    def test_forward_error_rejected_at_admission(self):
+        from repro.errors import AdmissionError
+        from repro.nn.module import Module
+
+        class Crashes(Module):
+            def forward(self, x, ctx):
+                raise RuntimeError("boom")
+
+        # Rejected even with lint off: the value-range pass needs the walk.
+        runtime = ServingRuntime(small_config(lint_admission=False))
+        with pytest.raises(AdmissionError, match="RuntimeError: boom"):
+            runtime.register_model("crash", Crashes(), in_channels=4)
+        assert "crash" not in runtime._models
+
     def test_bundled_workload_admitted(self, small_schedule):
         # Admission runs on the lazy build path too; the bundled MinkUNet
         # must clear it and serving must proceed normally.
