@@ -227,7 +227,7 @@ class IRRecorder:
     def __call__(self, **_: Any) -> None:
         """Convolution shape hook: shapes arrive through :meth:`observe`."""
 
-    def token(self, cache: Any) -> int:
+    def _token(self, cache: Any) -> int:
         for i, known in enumerate(self._caches):
             if known is cache:
                 return i
@@ -235,7 +235,7 @@ class IRRecorder:
         return len(self._caches) - 1
 
     def tensor(self, x: SparseTensor) -> IRTensor:
-        return IRTensor(x.stride, x.num_channels, self.token(x.cache))
+        return IRTensor(x.stride, x.num_channels, self._token(x.cache))
 
     def observe(self, event: str, module: Any, *args: Any) -> None:
         self._seen.add(id(module))
@@ -246,7 +246,7 @@ class IRRecorder:
             x, key, outcome = args
             self.hazard = outcome in ("missing_forward_map", "bad_upsample")
             ir.map_events.append(
-                MapEvent(path, key, self.token(x.cache), outcome)
+                MapEvent(path, key, self._token(x.cache), outcome)
             )
         elif event == "join":
             kind, left, right = args

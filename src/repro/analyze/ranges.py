@@ -29,7 +29,7 @@ import dataclasses
 import math
 from typing import List, Optional, Tuple
 
-from repro.analyze.ir import IRNode, ModelIR
+from repro.analyze.ir import IRNode, ModelIR, trace_model
 
 #: Largest finite fp16 value.
 FP16_MAX = 65504.0
@@ -169,9 +169,7 @@ def model_range_report(
     input_range: ValueRange = DEFAULT_INPUT_RANGE,
 ) -> RangeReport:
     """Record ``model``'s IR and propagate value ranges through it."""
-    from repro.analyze.ir import trace_model
-
-    ir = trace_model(model, in_channels=in_channels, ndim=ndim)  # type: ignore[arg-type]
+    ir = trace_model(model, in_channels=in_channels, ndim=ndim)
     return propagate_ranges(ir, input_range)
 
 
