@@ -771,7 +771,8 @@ def _fuzz_sample_memo(rng: random.Random) -> Tuple[int, List[str]]:
 def _probe_tuning_db() -> ReadLog:
     from repro.autotune.db import TuningKey
     from repro.hw.specs import get_device
-    from repro.kernels.registry import Dataflow, trace_dataflow
+    from repro.nn.context import LayerConfig, Role
+    from repro.nn.conv import pass_trace
     from repro.precision import Precision
 
     log = ReadLog()
@@ -791,9 +792,7 @@ def _probe_tuning_db() -> ReadLog:
         mean_neighbors=scene.mean_neighbors,
     )
     assert key.bucket
-    trace = trace_dataflow(
-        Dataflow.IMPLICIT_GEMM, scene, 16, 16, precision="fp16"
-    )
+    trace = pass_trace(scene, 16, 16, LayerConfig(), Role.FORWARD, "fp16")
     us = _priced_trace_us(trace, device, Precision.FP16)
     assert us > 0.0
     return log

@@ -5,7 +5,9 @@ this workload" by tracing everything; this package answers it *cheaply and
 durably*: a persistent fleet-shared database of winners (:mod:`.db`), a
 fitted analytic surrogate that ranks candidates without building traces
 (:mod:`.surrogate`), and a Minuet-style online searcher that verifies only
-the surrogate's top-k and banks the result (:mod:`.online`).
+the surrogate's top-k and banks the result (:mod:`.online`).  Verification
+and surrogate targets both trace through the convolution layer's own
+builder (:func:`repro.nn.conv.pass_trace`).
 """
 
 from repro.autotune.db import (

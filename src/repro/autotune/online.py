@@ -3,10 +3,12 @@
 The offline group tuner (:class:`repro.tune.SparseAutotuner`) traces every
 candidate of every group — thorough, but far too slow for admission-time
 decisions.  This tuner follows Minuet's shape instead: rank the whole
-candidate space with the cheap surrogate, spend real measurements
-(``estimate_trace_us`` over a full trace) only on the top-k survivors, and
-bank the winner in the persistent :class:`~repro.autotune.db.TuningDatabase`
-so no replica ever pays for the same layer twice.
+candidate space with the cheap surrogate, spend real measurements only on
+the top-k survivors, and bank the winner in the persistent
+:class:`~repro.autotune.db.TuningDatabase` so no replica ever pays for the
+same layer twice.  A real measurement is the forward trace the convolution
+layer itself would record (:func:`repro.nn.conv.pass_trace`), priced by
+``estimate_trace_us`` — so verification checks what execution charges.
 
 Everything is deterministic: the candidate list has a fixed order, surrogate
 ties break on the config's serialized form, and nothing reads the wall
@@ -20,10 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.autotune.db import TuningDatabase, TuningEntry, TuningKey
 from repro.autotune.surrogate import LayerShape, SurrogateModel, family_of
-from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
 from repro.kernels.base import DEFAULT_SCHEDULE, LARGE_TILE, SMALL_TILE
-from repro.kernels.registry import Dataflow, trace_dataflow
+from repro.kernels.registry import Dataflow
 from repro.nn.context import (
     ExecutionContext,
     GroupPolicy,
@@ -74,22 +75,11 @@ def measure_config(
     device: Union[DeviceSpec, str],
     precision: Union[Precision, str],
 ) -> float:
-    """Ground-truth simulated latency of one candidate (full trace)."""
-    spec = get_device(device)
-    precision = Precision.parse(precision)
-    trace = trace_dataflow(
-        config.dataflow,
-        record.kmap,
-        record.c_in,
-        record.c_out,
-        schedule=config.schedule,
-        precision=precision,
-        ig_config=config.ig_config,
-        tensor_cores=config.tensor_cores,
-        charge_mapping=True,
-        gs_chunks=config.gs_chunks,
+    """Ground-truth simulated latency of one candidate: the forward pass
+    the layer would run, priced by its own trace builder."""
+    return record.latency_us(
+        config, Role.FORWARD, get_device(device), Precision.parse(precision)
     )
-    return estimate_trace_us(trace, spec, precision)
 
 
 @dataclasses.dataclass

@@ -38,8 +38,9 @@ from repro.errors import ConfigError
 from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
 from repro.kernels.base import gemm_efficiency
-from repro.kernels.registry import Dataflow, trace_dataflow
-from repro.nn.context import LayerConfig
+from repro.kernels.registry import Dataflow
+from repro.nn.context import LayerConfig, Role
+from repro.nn.conv import pass_trace
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
 
@@ -286,18 +287,7 @@ def measure_sample(
     """
     spec = get_device(device)
     precision = Precision.parse(precision)
-    trace = trace_dataflow(
-        config.dataflow,
-        kmap,
-        c_in,
-        c_out,
-        schedule=config.schedule,
-        precision=precision,
-        ig_config=config.ig_config,
-        tensor_cores=config.tensor_cores,
-        charge_mapping=True,
-        gs_chunks=config.gs_chunks,
-    )
+    trace = pass_trace(kmap, c_in, c_out, config, Role.FORWARD, precision)
     target = estimate_trace_us(trace, spec, precision, streams)
     shape = LayerShape.from_kmap(kmap, c_in, c_out)
     return TrainingSample(

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
-from repro.kernels.registry import trace_dataflow
-from repro.nn.context import ExecutionContext
+from repro.nn.context import ExecutionContext, Role
+from repro.nn.conv import pass_trace
 from repro.precision import Precision
 from repro.tune.groups import discover_groups
 from repro.tune.space import TORCHSPARSEPP_SPACE
@@ -22,10 +22,9 @@ from repro.tune.tuner import SparseAutotuner
 
 
 def _resources(record, config, precision):
-    trace = trace_dataflow(
-        config.dataflow, record.kmap, record.c_in, record.c_out,
-        schedule=config.schedule, precision=precision,
-        ig_config=config.ig_config, charge_mapping=True,
+    trace = pass_trace(
+        record.kmap, record.c_in, record.c_out, config, Role.FORWARD,
+        precision,
     )
     summary = trace.summary()
     return summary.flops, summary.dram_bytes

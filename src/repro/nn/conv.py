@@ -12,23 +12,31 @@ backward needs; :meth:`backward` runs the dgrad dataflow (forward dataflow
 on the transposed map with transposed weights) and the wgrad kernel, each
 under its own :class:`~repro.nn.context.Role` config — the axis the
 training tuner exploits (Figure 13 / Figure 22).
+
+:func:`pass_trace` is the one place a (kernel map, widths, config, role)
+becomes launches, and :func:`conversion_trace` the one place the map
+storage-order rule lives: the layer charges through them, and the tuners
+price candidates through them, so a tuner scores a config exactly as
+execution charges it (Section 4.2's end-to-end objective).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, MapError
-from repro.gpusim.trace import scope_buffers
+from repro.gpusim.trace import KernelTrace, scope_buffers
 from repro.kernels.registry import Dataflow, run_dataflow, trace_dataflow
 from repro.kernels.wgrad import wgrad as wgrad_kernel
 from repro.kernels.wgrad import wgrad_trace
 from repro.nn.context import ExecutionContext, LayerConfig, Role, Signature
 from repro.nn.mapping_cost import map_build_trace, map_reorder_trace
 from repro.nn.module import Module, Parameter
+from repro.precision import Precision
 from repro.sparse.hashmap import HashMapStats
 from repro.sparse.kernel_offsets import kernel_volume, normalize_kernel_size
 from repro.sparse.kmap import KernelMap, MapKey, build_kernel_map
@@ -51,6 +59,83 @@ def _identity_kmap(tensor: SparseTensor) -> KernelMap:
         ),
         in_coords=tensor.coords,
     )
+
+
+def backward_map(kmap: KernelMap) -> KernelMap:
+    """The transposed map dgrad runs on, built once per forward map."""
+    if "transposed" not in kmap.analysis_cache:
+        kmap.analysis_cache["transposed"] = kmap.transposed()
+    return kmap.analysis_cache["transposed"]
+
+
+def _wgrad_options(config: LayerConfig) -> Dict[str, Any]:
+    """wgrad kernel arguments: gathered operands for gather-scatter;
+    sorted maps (re-sorted online unless hoisted offline) for sorted
+    implicit GEMM."""
+    ig = config.ig_config
+    sorted_maps = config.dataflow is Dataflow.IMPLICIT_GEMM and ig.sort
+    return dict(
+        schedule=config.schedule,
+        gathered=config.dataflow.value.startswith("gather"),
+        online_reorder=sorted_maps and not ig.offline_reorder,
+        sorted_maps=sorted_maps,
+        tensor_cores=config.tensor_cores,
+    )
+
+
+def pass_trace(
+    kmap: KernelMap,
+    c_in: int,
+    c_out: int,
+    config: LayerConfig,
+    role: Role = Role.FORWARD,
+    precision: "Precision | str" = Precision.FP32,
+    charge_mapping: bool = True,
+) -> KernelTrace:
+    """Launches of one pass of a convolution layer under ``config``.
+
+    ``kmap``, ``c_in`` and ``c_out`` are the layer's forward map and
+    widths: dgrad runs the forward dataflow on the transposed map with the
+    widths swapped, wgrad its own kernel on the forward map.
+    ``charge_mapping=False`` omits the sort/reorder launches of a map an
+    earlier layer already prepared.
+    """
+    precision = Precision.parse(precision)
+    if role is Role.WGRAD:
+        return wgrad_trace(
+            kmap, c_in, c_out, precision=precision, **_wgrad_options(config)
+        )
+    if role is Role.DGRAD:
+        kmap, c_in, c_out = backward_map(kmap), c_out, c_in
+    return trace_dataflow(
+        config.dataflow, kmap, c_in, c_out, schedule=config.schedule,
+        precision=precision, ig_config=config.ig_config,
+        tensor_cores=config.tensor_cores, charge_mapping=charge_mapping,
+        gs_chunks=config.gs_chunks,
+    )
+
+
+def _converts(kmap: KernelMap, config: LayerConfig) -> bool:
+    weight_stationary = config.dataflow.weight_stationary
+    return kmap.volume > 1 and weight_stationary != kmap.native_weight_stationary
+
+
+def conversion_trace(
+    kmap: KernelMap, config: LayerConfig, name: str = "map"
+) -> Optional[KernelTrace]:
+    """The map restructure pass ``config`` needs on ``kmap``, or ``None``.
+
+    Weight-stationary dataflows on hash-built (output-stationary) maps and
+    implicit GEMM on transposed (weight-stationary) maps both pay one
+    reordering pass — the asymmetry behind Figure 18's per-group dataflow
+    choices.  Pointwise maps have no structure to convert.
+    """
+    return map_reorder_trace(kmap, name) if _converts(kmap, config) else None
+
+
+def backward_prep_trace(kmap: KernelMap, name: str = "bwd_prep") -> KernelTrace:
+    """One backward map preparation (Figure 13's binding penalty)."""
+    return map_reorder_trace(kmap, name)
 
 
 class SparseConv3d(Module):
@@ -193,59 +278,52 @@ class SparseConv3d(Module):
         kmap: KernelMap,
         config: LayerConfig,
         ctx: ExecutionContext,
-        tag: str,
+        role: Role,
     ) -> np.ndarray:
-        schedule = config.schedule
+        """One forward or dgrad pass; ``kmap`` is the layer's forward map
+        and ``weights`` the operand of this pass (transposed for dgrad)."""
+        run_kmap = backward_map(kmap) if role is Role.DGRAD else kmap
         if ctx.adaptive_tiling:
             from repro.codegen.tiling import adaptive_schedule
 
-            macs = float(kmap.total_pairs) * weights.shape[1] * weights.shape[2]
+            _, k_in, k_out = weights.shape
             schedule = adaptive_schedule(
-                macs,
-                base=schedule,
-                shape=(
-                    kmap.num_outputs,
-                    weights.shape[2],
-                    kmap.volume * weights.shape[1],
-                ),
+                float(run_kmap.total_pairs) * k_in * k_out,
+                base=config.schedule,
+                shape=(run_kmap.num_outputs, k_out, run_kmap.volume * k_in),
                 device=ctx.device,
             )
+            config = dataclasses.replace(config, schedule=schedule)
         # Sorting/reordering happens once per (map, config) and is reused
         # by every other layer in the group (Section 4.2): charge it on
         # first use only (per context — see MapCache note in _resolve_kmap).
         charge_mapping = ctx.charge_once(
-            (id(kmap), "reorder", config.dataflow, config.ig_config)
+            (id(run_kmap), "reorder", config.dataflow, config.ig_config)
         )
 
         if ctx.simulate_only:
             out = np.zeros(
-                (kmap.num_outputs, weights.shape[2]), dtype=ctx.precision.dtype
+                (run_kmap.num_outputs, weights.shape[2]),
+                dtype=ctx.precision.dtype,
             )
-            trace = trace_dataflow(
-                config.dataflow,
-                kmap,
-                weights.shape[1],
-                weights.shape[2],
-                schedule=schedule,
-                precision=ctx.precision,
-                ig_config=config.ig_config,
-                tensor_cores=config.tensor_cores,
-                charge_mapping=charge_mapping,
-                gs_chunks=config.gs_chunks,
+            trace = pass_trace(
+                kmap, self.in_channels, self.out_channels, config, role,
+                ctx.precision, charge_mapping,
             )
         else:
             out, trace = run_dataflow(
                 config.dataflow,
                 feats,
                 weights,
-                kmap,
-                schedule=schedule,
+                run_kmap,
+                schedule=config.schedule,
                 precision=ctx.precision,
                 ig_config=config.ig_config,
                 tensor_cores=config.tensor_cores,
                 gs_chunks=config.gs_chunks,
                 charge_mapping=charge_mapping,
             )
+        tag = "fwd" if role is Role.FORWARD else "dgrad"
         for launch in trace:
             launch.name = f"{self.label}/{tag}:{launch.name}"
         # Namespace buffer ids per layer and pass; forward passes splice
@@ -275,9 +353,9 @@ class SparseConv3d(Module):
                 label=self.label,
             )
         config = ctx.config(signature, Role.FORWARD)
-        self._mark_structure(kmap, config.dataflow.weight_stationary, ctx)
+        self._mark_structure(kmap, config, ctx)
         out_feats = self._run(
-            x.feats, self.weight.data, kmap, config, ctx, "fwd"
+            x.feats, self.weight.data, kmap, config, ctx, Role.FORWARD
         )
         if self.bias is not None:
             out_feats = out_feats + self.bias.data.astype(out_feats.dtype)
@@ -294,19 +372,16 @@ class SparseConv3d(Module):
         return out
 
     def _mark_structure(
-        self, kmap: KernelMap, weight_stationary: bool, ctx: ExecutionContext
+        self, kmap: KernelMap, config: LayerConfig, ctx: ExecutionContext
     ) -> None:
         """Charge a map-restructure pass the first time a map is needed in
         a storage order it was not built in (Section 4.2: maps are stored
         weight- or output-stationary and converting costs real time — the
         reason intra-group heterogeneous dataflows are not allowed)."""
-        if kmap.volume <= 1:
-            return  # pointwise maps have no structure to convert
-        if weight_stationary == kmap.native_weight_stationary:
-            return  # the map already exists in this storage order
-        if not ctx.charge_once((id(kmap), "structure", weight_stationary)):
-            return
-        ctx.trace.extend(map_reorder_trace(kmap, f"{self.label}/map"))
+        if _converts(kmap, config) and ctx.charge_once(
+            (id(kmap), "structure", config.dataflow.weight_stationary)
+        ):
+            ctx.trace.extend(map_reorder_trace(kmap, f"{self.label}/map"))
 
     def _charge_backward_prep(
         self, kmap: KernelMap, config: LayerConfig, ctx: ExecutionContext
@@ -321,7 +396,7 @@ class SparseConv3d(Module):
             return
         if ctx.charge_once((id(kmap), "bwd_prep_any")):
             return  # dgrad's own trace already charges its preparation
-        ctx.trace.extend(map_reorder_trace(kmap, f"{self.label}/bwd_map"))
+        ctx.trace.extend(backward_prep_trace(kmap, f"{self.label}/bwd_map"))
 
     def backward(self, grad_out: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
         """Compute input gradients; accumulates weight/bias gradients."""
@@ -336,52 +411,25 @@ class SparseConv3d(Module):
         # dgrad: forward dataflow on the transposed map with W^T per offset.
         dgrad_cfg = ctx.config(signature, Role.DGRAD)
         self._charge_backward_prep(kmap, dgrad_cfg, ctx)
-        if "transposed" not in kmap.analysis_cache:
-            kmap.analysis_cache["transposed"] = kmap.transposed()
-        t_kmap = kmap.analysis_cache["transposed"]
         w_t = np.ascontiguousarray(self.weight.data.transpose(0, 2, 1))
-        grad_in = self._run(grad_out, w_t, t_kmap, dgrad_cfg, ctx, "dgrad")
+        grad_in = self._run(grad_out, w_t, kmap, dgrad_cfg, ctx, Role.DGRAD)
 
         # wgrad under its own config.
         wgrad_cfg = ctx.config(signature, Role.WGRAD)
-        gathered = wgrad_cfg.dataflow in (
-            Dataflow.GATHER_SCATTER,
-            Dataflow.GATHER_SCATTER_FUSED,
-        )
         self._charge_backward_prep(kmap, wgrad_cfg, ctx)
-        online = (
-            wgrad_cfg.dataflow is Dataflow.IMPLICIT_GEMM
-            and wgrad_cfg.ig_config.sort
-            and not wgrad_cfg.ig_config.offline_reorder
-        )
-        sorted_maps = (
-            wgrad_cfg.dataflow is Dataflow.IMPLICIT_GEMM
-            and wgrad_cfg.ig_config.sort
-        )
         if ctx.simulate_only:
             grad_w = np.zeros_like(self.weight.data)
-            trace = wgrad_trace(
-                kmap,
-                self.in_channels,
-                self.out_channels,
-                schedule=wgrad_cfg.schedule,
-                precision=ctx.precision,
-                gathered=gathered,
-                online_reorder=online,
-                sorted_maps=sorted_maps,
-                tensor_cores=wgrad_cfg.tensor_cores,
+            trace = pass_trace(
+                kmap, self.in_channels, self.out_channels, wgrad_cfg,
+                Role.WGRAD, ctx.precision,
             )
         else:
             grad_w, trace = wgrad_kernel(
                 feats,
                 grad_out,
                 kmap,
-                schedule=wgrad_cfg.schedule,
                 precision=ctx.precision,
-                gathered=gathered,
-                online_reorder=online,
-                sorted_maps=sorted_maps,
-                tensor_cores=wgrad_cfg.tensor_cores,
+                **_wgrad_options(wgrad_cfg),
             )
         for launch in trace:
             launch.name = f"{self.label}/wgrad:{launch.name}"

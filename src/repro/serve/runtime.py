@@ -6,9 +6,9 @@ Architecture (one `serve()` call = one serving run):
   drives a discrete-event loop — events are request arrivals, device
   completions, batching-window timers and retry re-admissions, all on one
   virtual clock;
-* a bounded :class:`~repro.serve.batcher.RequestQueue` applies admission
-  control (overflowing arrivals are shed; optionally, queued requests
-  older than ``timeout_ms`` are dropped), and a
+* a bounded :class:`~repro.serve.admission.PriorityRequestQueue` applies
+  admission control (overflowing arrivals are shed, lowest class first;
+  optionally, queued requests older than ``timeout_ms`` are dropped), and a
   :class:`~repro.serve.batcher.DynamicBatcher` groups queued requests
   under a point budget and deadline window;
 * **N device replicas** (:class:`DeviceReplica`) serve batches; a pluggable
@@ -61,7 +61,7 @@ from repro.serve.admission import (
 )
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.balancer import BALANCERS, get_balancer
-from repro.serve.batcher import DynamicBatcher, RequestQueue
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import KmapCache, KmapEntry, PolicyCache, PolicyKey
 from repro.serve.faults import NO_FAULTS, FaultInjector, FaultPlan
@@ -158,8 +158,8 @@ class ServeConfig:
         priority_shedding: shed lowest-priority-first under queue
             pressure (an arriving higher-class request displaces the
             youngest worst-class queued request) instead of dropping
-            arrivals FIFO-style.  Only takes effect when the schedule
-            actually carries more than one priority class.
+            arrivals FIFO-style.  Only matters when the schedule
+            carries more than one priority class.
         retry_jitter: multiply every retry backoff by a seeded factor in
             ``[0.5, 1.5)`` so synchronized failures do not re-arrive as a
             synchronized retry wave.  Deterministic per (seed, request,
@@ -1117,16 +1117,10 @@ class ServingRuntime:
             for name, spec in tenant_specs.items()
         }
 
-        # Priority-aware queueing only once it can matter: a roster or a
-        # schedule with more than one class.  Single-class runs keep the
-        # legacy FIFO queue (identical dispatch order to prior releases).
-        multi_class = len({r.priority for r in requests}) > 1
-        use_priority = bool(config.tenants) or multi_class
-        queue: RequestQueue = (
-            PriorityRequestQueue(max_depth=config.queue_depth)
-            if use_priority else RequestQueue(max_depth=config.queue_depth)
-        )
-        shed_by_priority = use_priority and config.priority_shedding
+        # Dispatch by (priority class, admission order); with one class
+        # this is FIFO and sheds exactly as a plain bounded queue does.
+        queue = PriorityRequestQueue(max_depth=config.queue_depth)
+        shed_by_priority = config.priority_shedding
         workload_cache: Dict[str, Workload] = {}
         db_hits_before = self.tuning_db.hits if self.tuning_db else 0
         db_misses_before = self.tuning_db.misses if self.tuning_db else 0
@@ -1427,9 +1421,7 @@ class ServingRuntime:
                         attempts=0,
                         quota_denied=True,
                     ))
-                elif shed_by_priority and isinstance(
-                    queue, PriorityRequestQueue
-                ):
+                elif shed_by_priority:
                     victim = queue.admit_displacing(request)
                     if victim is not None:
                         resolve(RequestOutcome(

@@ -6,7 +6,10 @@ with group-based configuration tuning: layers sharing kernel maps form one
 group and must share a dataflow (their map storage orders differ between
 dataflows), and groups are tuned greedily against *end-to-end* simulated
 latency, mapping overhead included.  The training tuner adds partial
-parameter binding across forward/dgrad/wgrad kernels (Figure 13).
+parameter binding across forward/dgrad/wgrad kernels (Figure 13).  Both
+price candidates with the convolution layer's own trace builder
+(:class:`~repro.tune.groups.GroupCosts`), so the objective is what
+execution charges.
 """
 
 from repro.tune.space import (

@@ -17,7 +17,9 @@ ground binds two of the three:
 Both reduce complexity to ``O(K^2)``, and to ``O(K)`` in practice by
 reusing the group tuner twice (Figure 13's "dummy initialization" trick —
 here, by evaluating role subsets independently, which our additive latency
-model makes exact).
+model makes exact).  Each role is priced by the convolution layer's own
+fwd/dgrad/wgrad trace builder through :class:`~repro.tune.groups.GroupCosts`,
+the same table the inference tuner uses.
 """
 
 from __future__ import annotations
@@ -25,24 +27,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
-from repro.nn.mapping_cost import map_reorder_trace
-from repro.nn.context import (
-    ExecutionContext,
-    GroupPolicy,
-    LayerConfig,
-    Role,
-    Signature,
-)
+from repro.nn.context import GroupPolicy, LayerConfig, Role, Signature
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
-from repro.tune.groups import LayerRecord, discover_groups
+from repro.tune.groups import GroupCosts
 from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
-from repro.tune.tuner import SparseAutotuner
 
 #: tensor:CUDA throughput ratio above which mapping overhead dominates and
 #: the sparse-mapping-oriented scheme wins (A100 is 16x, 2080 Ti is 3x).
@@ -106,32 +99,6 @@ class TrainingTuner:
         self.default = default or LayerConfig()
         self.scheme = scheme  # None = pick by device
 
-    # ------------------------------------------------------------------ #
-    def _roles_latency_us(
-        self,
-        tuner: SparseAutotuner,
-        records: Sequence[LayerRecord],
-        config: LayerConfig,
-        roles: Tuple[Role, ...],
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        """Latency of the given roles of a group under one config.
-
-        Adds the map-restructure penalty when a role set's map storage
-        order differs from the forward structure (the mapping-overhead half
-        of the binding tradeoff).
-        """
-        total = 0.0
-        for i, record in enumerate(records):
-            for role in roles:
-                total += tuner._layer_latency_us(
-                    record, config, device, precision,
-                    charge_mapping=(i == 0), cache=cache, role=role,
-                )
-        return total
-
     def tune(
         self,
         model: Module,
@@ -139,91 +106,57 @@ class TrainingTuner:
         device: "DeviceSpec | str" = "a100",
         precision: "Precision | str" = Precision.FP16,
     ) -> Tuple[GroupPolicy, TrainingTuningReport]:
-        """Tune training configs; model must be in training mode usage."""
+        """Tune training configs; model must be in training mode usage.
+
+        Raises :class:`~repro.errors.ConfigError` when ``samples`` is
+        empty.
+        """
         device = get_device(device)
         precision = Precision.parse(precision)
         scheme = self.scheme or pick_binding_scheme(device)
         start = time.perf_counter()
-        tuner = SparseAutotuner(space=self.space, default=self.default)
-
-        ordered: List[Signature] = []
-        per_sample: List[Dict[Signature, List[LayerRecord]]] = []
-        for sample in samples:
-            ctx = ExecutionContext(
-                device=device, precision=precision, simulate_only=True
-            )
-            sigs, by_sig = discover_groups(model, sample, ctx)
-            per_sample.append(by_sig)
-            for sig in sigs:
-                if sig not in ordered:
-                    ordered.append(sig)
-
-        cache: Dict = {}
-
-        def cost(sig: Signature, config: LayerConfig, roles) -> float:
-            return sum(
-                self._roles_latency_us(
-                    tuner, by_sig.get(sig, []), config, roles,
-                    device, precision, cache,
-                )
-                for by_sig in per_sample
-            ) / len(per_sample)
-
-        def prep_penalty(sig: Signature, dgrad_cfg: LayerConfig,
-                         wgrad_cfg: LayerConfig) -> float:
-            """Backward map-preparation cost when dgrad and wgrad use
-            different configs: the two backward kernels share the same
-            maps (Figure 13), so a bound pair prepares them once while a
-            decoupled pair prepares them twice."""
-            if dgrad_cfg == wgrad_cfg:
-                return 0.0
-            total = 0.0
-            for by_sig in per_sample:
-                records = by_sig.get(sig, [])
-                if not records:
-                    continue
-                total += estimate_trace_us(
-                    map_reorder_trace(records[0].kmap, "bwd_prep"),
-                    device, precision,
-                )
-            return total / len(per_sample)
+        space = self.space.candidates
+        costs = GroupCosts(model, samples, space, device, precision)
+        candidates = range(len(space))
 
         assignment: Dict[Signature, Dict[Role, LayerConfig]] = {}
         all_roles = (Role.FORWARD, Role.DGRAD, Role.WGRAD)
         bound_all_total = 0.0
         tuned_total = 0.0
-        for sig in ordered:
+        for g, sig in enumerate(costs.signatures):
             # Reference: best single config shared by all three roles
             # (one config -> one map structure -> no penalty).
-            bound_all_total += min(
-                cost(sig, c, all_roles) for c in self.space
-            )
+            cost_all = [costs.cost_us(g, c, all_roles) for c in candidates]
+            bound_all_total += min(cost_all)
             role_sets = _SCHEME_ROLE_SETS[scheme]
             if len(role_sets) == 1:
-                best = min(self.space, key=lambda c: cost(sig, c, all_roles))
-                by_role = {role: best for role in all_roles}
-                best_total = cost(sig, best, all_roles)
+                best = min(candidates, key=cost_all.__getitem__)
+                by_role = {role: space[best] for role in all_roles}
+                best_total = cost_all[best]
             else:
                 # Paper's O(K^2): joint search over the two bound sets,
                 # including the backward map-preparation penalty when
-                # dgrad and wgrad end up with different configs.
+                # dgrad and wgrad end up with different configs: the two
+                # backward kernels share the same maps (Figure 13), so a
+                # bound pair prepares them once while a decoupled pair
+                # prepares them twice.
                 set_a, set_b = role_sets
+                cost_a = [costs.cost_us(g, c, set_a) for c in candidates]
+                cost_b = [costs.cost_us(g, c, set_b) for c in candidates]
+                prep_us = costs.backward_prep_us(g)
                 best_total = float("inf")
                 by_role = {}
-                for cfg_a in self.space:
-                    cost_a = cost(sig, cfg_a, set_a)
-                    for cfg_b in self.space:
+                for a in candidates:
+                    for b in candidates:
                         cfg_of = {
-                            **{r: cfg_a for r in set_a},
-                            **{r: cfg_b for r in set_b},
+                            **{r: space[a] for r in set_a},
+                            **{r: space[b] for r in set_b},
                         }
-                        total = (
-                            cost_a
-                            + cost(sig, cfg_b, set_b)
-                            + prep_penalty(
-                                sig, cfg_of[Role.DGRAD], cfg_of[Role.WGRAD]
-                            )
+                        penalty = (
+                            0.0 if cfg_of[Role.DGRAD] == cfg_of[Role.WGRAD]
+                            else prep_us
                         )
+                        total = cost_a[a] + cost_b[b] + penalty
                         if total < best_total:
                             best_total = total
                             by_role = cfg_of

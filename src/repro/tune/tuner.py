@@ -8,7 +8,9 @@ default.  End-to-end measurement (rather than kernel-only time) is the
 paper's central methodological point: mapping overhead — bitmask
 computation, sorting, reordering, partial-sum reduction — must be inside
 the objective, or the tuner picks sorted dataflows that lose end to end
-(Tables 3/4).
+(Tables 3/4).  Candidates are priced by the convolution layer's own trace
+builder through :class:`~repro.tune.groups.GroupCosts`, so the objective
+charges each config exactly what executing it charges.
 """
 
 from __future__ import annotations
@@ -17,20 +19,12 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
-from repro.kernels.registry import trace_dataflow
-from repro.nn.context import (
-    ExecutionContext,
-    GroupPolicy,
-    LayerConfig,
-    Role,
-    Signature,
-)
+from repro.nn.context import GroupPolicy, LayerConfig, Role, Signature
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
-from repro.tune.groups import LayerRecord, discover_groups
+from repro.tune.groups import GroupCosts
 from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
 
 
@@ -82,104 +76,6 @@ class SparseAutotuner:
         self.space = space
         self.default = default or LayerConfig()
 
-    # ------------------------------------------------------------------ #
-    def _layer_latency_us(
-        self,
-        record: LayerRecord,
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        charge_mapping: bool,
-        cache: Dict,
-        role: Role = Role.FORWARD,
-    ) -> float:
-        key = (id(record.kmap), record.c_in, record.c_out, id(config),
-               charge_mapping, role, device.name, precision)
-        if key not in cache:
-            kmap = record.kmap
-            c_in, c_out = record.c_in, record.c_out
-            if role is Role.DGRAD:
-                if "transposed" not in kmap.analysis_cache:
-                    kmap.analysis_cache["transposed"] = kmap.transposed()
-                kmap = kmap.analysis_cache["transposed"]
-                c_in, c_out = c_out, c_in
-            if role is Role.WGRAD:
-                from repro.kernels.wgrad import wgrad_trace
-
-                from repro.kernels.registry import Dataflow
-
-                trace = wgrad_trace(
-                    kmap, record.c_in, record.c_out,
-                    schedule=config.schedule, precision=precision,
-                    gathered=config.dataflow.value.startswith("gather"),
-                    sorted_maps=(
-                        config.dataflow is Dataflow.IMPLICIT_GEMM
-                        and config.ig_config.sort
-                    ),
-                    tensor_cores=config.tensor_cores,
-                )
-            else:
-                trace = trace_dataflow(
-                    config.dataflow, kmap, c_in, c_out,
-                    schedule=config.schedule, precision=precision,
-                    ig_config=config.ig_config,
-                    tensor_cores=config.tensor_cores,
-                    charge_mapping=charge_mapping,
-                )
-            cache[key] = estimate_trace_us(trace, device, precision)
-        return cache[key]
-
-    def _structure_conversion_us(
-        self,
-        record: LayerRecord,
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        """Map storage-order conversion cost (once per group).
-
-        Weight-stationary dataflows on hash-built (output-stationary) maps
-        and implicit GEMM on transposed (weight-stationary) maps both pay
-        one reordering pass — the asymmetry behind Figure 18's per-group
-        dataflow choices.
-        """
-        kmap = record.kmap
-        if kmap.volume <= 1:
-            return 0.0
-        if config.dataflow.weight_stationary == kmap.native_weight_stationary:
-            return 0.0
-        key = ("convert", id(kmap), config.dataflow.weight_stationary,
-               device.name, precision)
-        if key not in cache:
-            from repro.nn.mapping_cost import map_reorder_trace
-
-            cache[key] = estimate_trace_us(
-                map_reorder_trace(kmap, "convert"), device, precision
-            )
-        return cache[key]
-
-    def _group_latency_us(
-        self,
-        records: Sequence[LayerRecord],
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        total = 0.0
-        for i, record in enumerate(records):
-            total += self._layer_latency_us(
-                record, config, device, precision,
-                charge_mapping=(i == 0), cache=cache,
-            )
-            if i == 0:
-                total += self._structure_conversion_us(
-                    record, config, device, precision, cache
-                )
-        return total
-
-    # ------------------------------------------------------------------ #
     def tune(
         self,
         model: Module,
@@ -191,76 +87,58 @@ class SparseAutotuner:
 
         ``samples`` plays the role of the paper's "random subset of the
         target workload (e.g. 100 scenes on Waymo)"; latencies are averaged
-        across samples.
+        across samples.  Raises :class:`~repro.errors.ConfigError` when
+        ``samples`` is empty.
         """
         device = get_device(device)
         precision = Precision.parse(precision)
         start = time.perf_counter()
 
-        # Probe every sample once; union the group structure.
-        ordered: List[Signature] = []
-        per_sample_records: List[Dict[Signature, List[LayerRecord]]] = []
-        for sample in samples:
-            ctx = ExecutionContext(
-                device=device, precision=precision, simulate_only=True
-            )
-            sigs, by_sig = discover_groups(model, sample, ctx)
-            per_sample_records.append(by_sig)
-            for sig in sigs:
-                if sig not in ordered:
-                    ordered.append(sig)
-
-        cache: Dict = {}
-
-        def group_cost(sig: Signature, config: LayerConfig) -> float:
-            return sum(
-                self._group_latency_us(
-                    by_sig.get(sig, []), config, device, precision, cache
-                )
-                for by_sig in per_sample_records
-            ) / len(per_sample_records)
+        # The default config is the last candidate; each group's cost
+        # includes the first layer's map storage-order conversion.
+        costs = GroupCosts(
+            model, samples, (*self.space, self.default), device, precision
+        )
+        default = len(self.space)
+        ordered = costs.signatures
+        cost = [
+            [costs.cost_us(g, c, convert=True) for g in range(len(ordered))]
+            for c in range(default + 1)
+        ]
 
         # Greedy group-by-group exhaustive search on end-to-end latency.
-        assignment: Dict[Signature, Dict[Role, LayerConfig]] = {}
+        chosen: List[int] = []
         results: List[GroupResult] = []
-        default_total = sum(group_cost(sig, self.default) for sig in ordered)
+        default_total = sum(cost[default][g] for g in range(len(ordered)))
         for k, sig in enumerate(ordered):
-
-            def end_to_end(candidate: LayerConfig) -> float:
+            # Earlier groups at their tuned configs, later ones at default.
+            configs = chosen + [default] * (len(ordered) - k)
+            latencies = []
+            for candidate in range(default):
+                configs[k] = candidate
                 total = 0.0
-                for j, other in enumerate(ordered):
-                    if j < k:
-                        config = assignment[other][Role.FORWARD]
-                    elif j == k:
-                        config = candidate
-                    else:
-                        config = self.default
-                    total += group_cost(other, config)
-                return total
-
-            latencies = [end_to_end(c) for c in self.space]
+                for j, c in enumerate(configs):
+                    total += cost[c][j]
+                latencies.append(total)
             best_index = min(range(len(latencies)), key=latencies.__getitem__)
-            chosen = self.space.candidates[best_index]
-            assignment[sig] = {Role.FORWARD: chosen}
+            chosen.append(best_index)
             results.append(
                 GroupResult(
                     signature=sig,
-                    chosen=chosen,
+                    chosen=self.space.candidates[best_index],
                     candidate_latencies_us=latencies,
-                    num_layers=sum(
-                        len(by_sig.get(sig, []))
-                        for by_sig in per_sample_records
-                    ),
+                    num_layers=costs.num_layers(k),
                 )
             )
 
-        tuned_total = sum(
-            group_cost(sig, assignment[sig][Role.FORWARD]) for sig in ordered
-        )
+        tuned_total = sum(cost[chosen[g]][g] for g in range(len(ordered)))
         report = TuningReport(
             groups=results,
             end_to_end_us=tuned_total,
             default_us=default_total,
             tuning_seconds=time.perf_counter() - start,
         )
+        assignment: Dict[Signature, Dict[Role, LayerConfig]] = {
+            r.signature: {Role.FORWARD: r.chosen} for r in results
+        }
         return GroupPolicy(assignment, default=self.default), report

@@ -35,8 +35,7 @@ _PATCH_MODULES = (
     "repro.gpusim.engine",
     "repro.nn.context",
     "repro.graph.engines",
-    "repro.tune.tuner",
-    "repro.tune.training",
+    "repro.tune.groups",
     "repro.baselines.flatformer",
     "repro.codegen.cost",
     "repro.codegen.tiling",

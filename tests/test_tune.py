@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
+from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import Dataflow
 from repro.models import MinkUNet
-from repro.nn import ExecutionContext, LayerConfig
+from repro.nn import ExecutionContext, FixedPolicy, LayerConfig
 from repro.nn.context import Role
 from repro.sparse import SparseTensor
 from repro.tune import (
@@ -177,3 +179,67 @@ class TestPolicyCache:
                 assert restored.dataflow == config.dataflow
                 assert restored.ig_config == config.ig_config
                 assert restored.schedule.tile_m == config.schedule.tile_m
+
+
+class TestOnePricingPath:
+    """The tuners price a layer with the trace the layer itself records."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [LayerConfig(dataflow=d) for d in Dataflow]
+        + [
+            LayerConfig(
+                ig_config=ImplicitGemmConfig(sort=False)
+            ),
+            LayerConfig(
+                ig_config=ImplicitGemmConfig(sort=True, offline_reorder=False)
+            ),
+        ],
+        ids=lambda c: c.describe() + (
+            "" if c.ig_config.offline_reorder else " online-reorder"
+        ),
+    )
+    def test_conv_charges_what_the_tuner_prices(self, config):
+        from repro.gpusim.engine import estimate_trace_us
+        from repro.gpusim.trace import KernelTrace
+        from repro.hw.specs import get_device
+        from repro.nn.conv import SparseConv3d
+        from repro.precision import Precision
+
+        device, precision = get_device("a100"), Precision.FP16
+        conv = SparseConv3d(8, 16, kernel_size=3, label="c")
+        conv.train()
+        x = cloud()
+        x = SparseTensor(
+            x.coords, np.zeros((x.num_points, 8), np.float32), cache=x.cache
+        )
+        ctx = ExecutionContext(
+            device=device, precision=precision,
+            policy=FixedPolicy(config), simulate_only=True,
+        )
+        out = conv(x, ctx)
+        conv.backward(np.zeros_like(out.feats), ctx)
+
+        _, by_sig = discover_groups(
+            conv, x, ExecutionContext(simulate_only=True)
+        )
+        (record,) = [r for records in by_sig.values() for r in records]
+        for role, tag in ((Role.FORWARD, "c/fwd:"), (Role.DGRAD, "c/dgrad:"),
+                          (Role.WGRAD, "c/wgrad:")):
+            charged = KernelTrace(
+                [l for l in ctx.trace if l.name.startswith(tag)]
+            )
+            assert len(charged) > 0
+            assert estimate_trace_us(charged, device, precision) == (
+                record.latency_us(config, role, device, precision)
+            ), role
+
+
+class TestEmptySamples:
+    def test_autotuner_rejects_no_samples(self, tiny_model):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            SparseAutotuner().tune(tiny_model, [], "a100", "fp16")
+
+    def test_training_tuner_rejects_no_samples(self, tiny_model):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            TrainingTuner().tune(tiny_model, [], "a100", "fp16")
